@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end smoke test of the campaign resilience layer.
 
-Drives the real ``repro-experiments`` CLI through the three recovery
+Drives the real ``repro-experiments`` CLI through the four recovery
 scenarios that ``docs/RESILIENCE.md`` promises (runnable locally and as
 the ``resilience-smoke`` CI job):
 
@@ -15,6 +15,12 @@ the ``resilience-smoke`` CI job):
 3. **Kill + resume** — a journaled sweep is SIGTERMed mid-flight (exit
    130, journal flushed), resumed with ``--resume``, and the resumed
    report must be bit-identical to an uninterrupted run.
+4. **Multi-curve pool** — Fig. 3c runs its six cache-size curves on one
+   shared worker pool.  With ``--inject crash-sample`` every curve
+   crashes its pool once more, and each curve must quarantine exactly its
+   own poison sample on the pool the previous curve respawned; with
+   ``--inject hang-sample`` every curve's watchdog kills the pool and the
+   report must still be bit-identical to a clean run.
 
 Exits non-zero with a diagnostic on the first violated expectation.
 """
@@ -158,11 +164,33 @@ def kill_resume_scenario(samples):
         )
 
 
+def multi_curve_scenario():
+    sweep = BASE + ["fig3c", "--samples", "2", "--jobs", "2"]
+    curves = 6
+    clean = run(sweep)
+    crashed = run(sweep + ["--retries", "1", "--inject", "crash-sample"])
+    expect(
+        crashed.stderr.count("quarantined crash at point 0 sample 0") == curves
+        and crashed.stderr.count("quarantined") == curves,
+        "crash-injected fig3c quarantines exactly one sample per curve",
+    )
+    expect(
+        f"{curves} quarantined" in crashed.stdout,
+        "crash-injected fig3c report shows the degraded coverage",
+    )
+    hung = run(sweep + ["--timeout", "10", "--inject", "hang-sample"])
+    expect(
+        figure_lines(hung.stdout) == figure_lines(clean.stdout),
+        "hang-injected fig3c recovers bit-identically to a clean run",
+    )
+
+
 def main():
     samples = sys.argv[1] if len(sys.argv) > 1 else "6"
     clean = crash_scenario(samples)
     hang_scenario(samples, clean)
     kill_resume_scenario("30")
+    multi_curve_scenario()
     print("resilience-smoke: all scenarios passed", flush=True)
 
 

@@ -30,7 +30,12 @@ from repro.experiments.runner import (
     weighted_measures,
 )
 from repro.experiments.stats import ratio_confidence_intervals, wilson_interval
-from repro.experiments.supervisor import SampleFailure, SweepSupervisor, WorkItem
+from repro.experiments.supervisor import (
+    SampleFailure,
+    SweepSupervisor,
+    WorkerPool,
+    WorkItem,
+)
 from repro.experiments.table1 import Table1Result, run_table1
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "SampleFailure",
     "SampleOutcome",
     "SweepSupervisor",
+    "WorkerPool",
     "WorkItem",
     "run_curve",
     "schedulability_ratios",

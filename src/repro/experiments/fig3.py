@@ -28,7 +28,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.report import format_coverage, format_table
 from repro.experiments.runner import run_curve, weighted_measures
-from repro.experiments.supervisor import SampleFailure
+from repro.experiments.supervisor import SampleFailure, WorkerPool
 from repro.generation.taskset_gen import ParameterSource
 from repro.model.platform import CacheGeometry, Platform, microseconds_to_cycles
 from repro.verify.faults import SweepFault
@@ -86,23 +86,26 @@ def _weighted_sweep(
     measures: Dict[str, List[float]] = {v.label: [] for v in variants}
     failures: List[SampleFailure] = []
     healthy = expected = 0
-    for index, value in enumerate(x_values):
-        platform = platform_for(value)
-        outcomes = run_curve(
-            platform,
-            variants,
-            settings,
-            point_offset=1000 * (index + 1),
-            journal_dir=journal_dir,
-            resume=resume,
-            fault=fault,
-        )
-        failures.extend(outcomes.failures)
-        healthy += outcomes.healthy
-        expected += outcomes.expected
-        point = weighted_measures(outcomes, variants)
-        for label, measure in point.items():
-            measures[label].append(measure)
+    # One set of spawn workers serves every parameter value.
+    with WorkerPool() as pool:
+        for index, value in enumerate(x_values):
+            platform = platform_for(value)
+            outcomes = run_curve(
+                platform,
+                variants,
+                settings,
+                point_offset=1000 * (index + 1),
+                journal_dir=journal_dir,
+                resume=resume,
+                fault=fault,
+                pool=pool,
+            )
+            failures.extend(outcomes.failures)
+            healthy += outcomes.healthy
+            expected += outcomes.expected
+            point = weighted_measures(outcomes, variants)
+            for label, measure in point.items():
+                measures[label].append(measure)
     return WeightedSweepResult(
         title=title,
         x_label=x_label,

@@ -54,6 +54,7 @@ from repro.experiments.stateplane import resident_plane
 from repro.experiments.supervisor import (
     SampleFailure,
     SweepSupervisor,
+    WorkerPool,
     WorkItem,
     _digest,
 )
@@ -632,35 +633,6 @@ class CurveOutcomes(Dict[float, List[SampleOutcome]]):
         return self.healthy / self.expected if self.expected else 1.0
 
 
-def run_point(
-    base_platform: Platform,
-    utilization: float,
-    variants: Sequence[Variant],
-    settings: SweepSettings,
-    point_index: int,
-) -> List[SampleOutcome]:
-    """All sample outcomes for one (platform, utilisation) point."""
-    items = [
-        WorkItem(
-            point=point_index,
-            sample=i,
-            utilization=utilization,
-            seed=_sample_seed(settings.seed, point_index, i),
-        )
-        for i in range(settings.samples)
-    ]
-    supervisor = SweepSupervisor(
-        evaluate_item, base_platform, tuple(variants), settings.generation, settings
-    )
-    completed, _failures = supervisor.run(items)
-    return [
-        SampleOutcome(weight=weight, verdicts=verdicts)
-        for weight, verdicts in (
-            completed[item.key] for item in items if item.key in completed
-        )
-    ]
-
-
 def run_curve(
     base_platform: Platform,
     variants: Sequence[Variant],
@@ -669,6 +641,7 @@ def run_curve(
     journal_dir: Optional[str] = None,
     resume: bool = False,
     fault: Optional[SweepFault] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> CurveOutcomes:
     """Outcomes for every utilisation point of the grid.
 
@@ -696,7 +669,10 @@ def run_curve(
     bit-identically.  Opening a non-empty journal without ``resume``
     raises :class:`~repro.errors.JournalError` rather than silently
     mixing two runs.  ``fault`` injects a deterministic execution fault
-    into the workers (recovery-path testing only).
+    into the workers (recovery-path testing only).  ``pool`` lends the
+    curve the spawn workers of a multi-curve sweep (see
+    :class:`~repro.experiments.supervisor.WorkerPool`); without one a
+    parallel curve spawns a private pool and terminates it on return.
     """
     items: List[WorkItem] = [
         WorkItem(
@@ -745,6 +721,7 @@ def run_curve(
             settings,
             journal=journal,
             fault=fault,
+            pool=pool,
         )
         fresh, failures = supervisor.run(pending)
     completed = {**prior, **fresh}

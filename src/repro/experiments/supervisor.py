@@ -57,6 +57,17 @@ shared fault flags) and all recovery semantics are identical on Linux and
 macOS; ``fork`` would also duplicate the parent's signal handlers and
 journal file descriptors into the children.
 
+A worker pool lives for one sweep call.  A multi-curve sweep (such as
+``run_fig3c``) opens a :class:`WorkerPool`, and the supervisor of each
+of its curves (the six cache sizes of Fig. 3c) borrows the pool's
+executor in turn, so the workers are spawned once per call rather than
+once per curve; a single-curve run such as Fig. 2 gets a private pool
+from its supervisor.  A pool respawned after a crash or a watchdog kill
+is handed on to the later curves.  The workers are terminated when the
+call returns or raises.  Workers keep no sweep state of their own: each
+chunk carries it, and a worker drops its resident plane when the first
+chunk of a new curve arrives (see :func:`run_resident_chunk`).
+
 Completed items are checkpointed to an optional
 :class:`~repro.experiments.journal.RunJournal` the moment their chunk
 returns, and SIGINT/SIGTERM are converted into a clean
@@ -66,6 +77,7 @@ an interrupted campaign resumes bit-identically.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import itertools
@@ -86,6 +98,7 @@ from repro.budget import Budget
 from repro.errors import AnalysisAborted, SweepInterrupted
 from repro.experiments.config import SweepSettings
 from repro.experiments.journal import RunJournal
+from repro.experiments.stateplane import reset_resident_plane
 from repro.perf import PerfCounters, merge_global
 from repro.verify.faults import SweepFault, trigger_sweep_fault
 
@@ -308,33 +321,81 @@ def run_chunk(args):
     return results, perf
 
 
-#: Worker-resident chunk arguments, installed once per worker process by
-#: :func:`_worker_init` so per-chunk submissions carry only the chunk
-#: payload instead of re-pickling the shared platform/variants/generation
-#: state (and the evaluate reference) with every chunk.
-_WORKER_STATE: Optional[Tuple] = None
+#: Source of the per-supervisor sweep ids that chunks carry (see
+#: :func:`run_resident_chunk`).
+_SWEEP_IDS = itertools.count()
 
-
-def _worker_init(evaluate, platform, variants, generation, fault, sample_budget):
-    """Pool initializer: park the sweep's shared state in the worker."""
-    global _WORKER_STATE
-    _WORKER_STATE = (evaluate, platform, variants, generation, fault, sample_budget)
+#: Sweep id of the last chunk this worker served; ``None`` in the parent
+#: and in a freshly spawned worker.
+_WORKER_SWEEP: Optional[int] = None
 
 
 def run_resident_chunk(payload):
-    """Worker-side chunk entry using the resident state of :func:`_worker_init`.
+    """Worker-side chunk entry: one sweep's shared state plus one chunk.
 
-    Together with the process-global
-    :func:`~repro.experiments.stateplane.resident_plane` the worker keeps
-    between chunks (task sets, compiled pair tables, warm-start seeds,
-    hint chains), this makes workers stateful across chunks while leaving
-    every recovery path untouched: a respawned pool simply re-runs
-    :func:`_worker_init` and starts with an empty plane.
+    ``payload`` is ``(sweep_id, evaluate, platform, variants, generation,
+    fault, sample_budget, chunk)``.  A :class:`WorkerPool` serves every
+    curve of a sweep call, so a worker outlives any one
+    supervisor, and each chunk therefore carries its sweep's state (about
+    1 KB pickled).  Between chunks of one sweep the worker keeps its
+    process-global :func:`~repro.experiments.stateplane.resident_plane`
+    (task sets, compiled pair tables, warm-start seeds, hint chains).
+    The first chunk of a new sweep drops that plane and collects garbage
+    before it runs, so every curve starts on an empty plane, exactly as
+    in a freshly spawned worker, and a worker's memory holds at most one
+    curve's state.
     """
-    evaluate, platform, variants, generation, fault, sample_budget = _WORKER_STATE
-    return run_chunk(
-        (evaluate, platform, variants, generation, payload, fault, sample_budget)
-    )
+    global _WORKER_SWEEP
+    sweep_id, evaluate, platform, variants, generation, fault, budget, chunk = payload
+    if sweep_id != _WORKER_SWEEP:
+        reset_resident_plane()
+        gc.collect()
+        _WORKER_SWEEP = sweep_id
+    return run_chunk((evaluate, platform, variants, generation, chunk, fault, budget))
+
+
+def _kill_executor(executor: ProcessPoolExecutor) -> None:
+    """Forcibly stop an executor, terminating hung workers if needed.
+
+    ``shutdown`` alone never returns while a worker is hung; there is no
+    public kill switch, so this reaches for the internal process map
+    (stable across CPython 3.9-3.13) with a guard.
+    """
+    processes = getattr(executor, "_processes", None)
+    if processes:
+        for process in list(processes.values()):
+            process.terminate()
+    executor.shutdown(wait=True, cancel_futures=True)
+
+
+class WorkerPool:
+    """The spawn workers shared by every supervisor of one sweep call.
+
+    Use it as a context manager around the sweep's curves.  The executor
+    is created lazily by the first supervised run
+    (:meth:`SweepSupervisor._new_executor` is the only place a pool is
+    spawned) and is ``None`` until then, so an inline ``jobs == 1`` sweep
+    never starts a process.  A supervisor borrows the executor for its
+    run and hands it back afterwards; leaving the ``with`` block
+    terminates the workers, so none outlives the sweep call.  The
+    supervisors sharing a pool must agree on ``settings.jobs``, which
+    sizes the executor.
+    """
+
+    def __init__(self) -> None:
+        self.executor: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Terminate the workers, if any were spawned."""
+        if self.executor is not None:
+            _kill_executor(self.executor)
+            self.executor = None
 
 
 def chunked(
@@ -380,7 +441,9 @@ class SweepSupervisor:
     ``settings.sample_budget`` is unset.  ``journal`` (optional) receives every
     completed or quarantined item as it happens; ``fault`` (optional)
     carries a deterministic :class:`~repro.verify.faults.SweepFault` into
-    the workers for recovery-path testing.
+    the workers for recovery-path testing.  ``pool`` (optional) is the
+    :class:`WorkerPool` whose workers a supervised run borrows; without
+    one each run spawns a private pool and terminates it on return.
     """
 
     def __init__(
@@ -392,6 +455,7 @@ class SweepSupervisor:
         settings: SweepSettings,
         journal: Optional[RunJournal] = None,
         fault: Optional[SweepFault] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.evaluate = evaluate
         self.platform = platform
@@ -400,6 +464,8 @@ class SweepSupervisor:
         self.settings = settings
         self.journal = journal
         self.fault = fault
+        self.pool = pool
+        self._sweep_id = next(_SWEEP_IDS)
         self._stop_signal: Optional[int] = None
 
     # -- public entry point --------------------------------------------------
@@ -420,7 +486,10 @@ class SweepSupervisor:
         with self._interruptible():
             if self.settings.jobs == 1:
                 return self._run_inline(items)
-            return self._run_supervised(items)
+            if self.pool is not None:
+                return self._run_supervised(items, self.pool)
+            with WorkerPool() as pool:
+                return self._run_supervised(items, pool)
 
     # -- inline execution (jobs == 1) ----------------------------------------
 
@@ -572,7 +641,7 @@ class SweepSupervisor:
     # -- supervised parallel execution ---------------------------------------
 
     def _run_supervised(
-        self, items: Sequence[WorkItem]
+        self, items: Sequence[WorkItem], pool: WorkerPool
     ) -> Tuple[Dict[ItemKey, ItemResult], List[SampleFailure]]:
         completed: Dict[ItemKey, ItemResult] = {}
         failures: List[SampleFailure] = []
@@ -585,7 +654,19 @@ class SweepSupervisor:
         suspects: Deque[Tuple[WorkItem, ...]] = deque()
         delayed: List[Tuple[float, int, Tuple[WorkItem, ...]]] = []
         tiebreak = itertools.count()
-        executor = self._new_executor()
+        # Borrow the pool's executor; a crash or watchdog respawn below
+        # replaces it, and whichever executor is current goes back.
+        executor = pool.executor or self._new_executor()
+        pool.executor = None
+        shared = (
+            self._sweep_id,
+            self.evaluate,
+            self.platform,
+            self.variants,
+            self.generation,
+            self.fault,
+            self.settings.sample_budget,
+        )
         futures: Dict = {}
         try:
             while ready or suspects or delayed or futures:
@@ -626,7 +707,9 @@ class SweepSupervisor:
                         (item, attempts[item.key]) for item in chunk
                     )
                     try:
-                        future = executor.submit(run_resident_chunk, payload)
+                        future = executor.submit(
+                            run_resident_chunk, (*shared, payload)
+                        )
                     except BrokenProcessPool:
                         (suspects if solo else ready).appendleft(chunk)
                         broken = True
@@ -688,7 +771,13 @@ class SweepSupervisor:
                         tiebreak,
                     )
         finally:
-            self._kill_executor(executor)
+            # Work still in flight (an interrupt or an unexpected error)
+            # would run on into the next curve: kill those workers instead
+            # of handing them back.
+            if futures:
+                _kill_executor(executor)
+            else:
+                pool.executor = executor
         merge_global(supervisor_perf)
         return completed, failures
 
@@ -697,35 +786,11 @@ class SweepSupervisor:
     def _new_executor(self) -> ProcessPoolExecutor:
         # Spawn, explicitly: identical worker semantics on Linux/macOS and
         # no inherited signal handlers, fault flags or journal handles.
-        # The initializer parks the sweep's shared state in each worker
-        # (see _worker_init) so chunk submissions ship only item payloads.
+        # Workers hold no sweep state of their own: every chunk carries it
+        # (see run_resident_chunk), so one pool serves several curves.
         return ProcessPoolExecutor(
-            max_workers=self.settings.jobs,
-            mp_context=get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(
-                self.evaluate,
-                self.platform,
-                self.variants,
-                self.generation,
-                self.fault,
-                self.settings.sample_budget,
-            ),
+            max_workers=self.settings.jobs, mp_context=get_context("spawn")
         )
-
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Forcibly stop an executor, terminating hung workers if needed.
-
-        ``shutdown`` alone never returns while a worker is hung; there is
-        no public kill switch, so this reaches for the internal process
-        map (stable across CPython 3.9-3.13) with a guard.
-        """
-        processes = getattr(executor, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                process.terminate()
-        executor.shutdown(wait=True, cancel_futures=True)
 
     def _backoff_delay(self, attempt: int) -> float:
         """Capped exponential backoff before the ``attempt``-th retry."""
@@ -954,7 +1019,9 @@ class SweepSupervisor:
                 delayed, tiebreak, broken_chunks,
             )
         futures.clear()
-        executor.shutdown(wait=False, cancel_futures=True)
+        # Reap the broken pool's surviving workers now, not in its
+        # manager thread later, so none outlives the sweep.
+        _kill_executor(executor)
         if len(broken_chunks) == 1:
             self._recover_chunk(
                 broken_chunks[0], "crash", attempts, failures, suspects,
@@ -986,7 +1053,7 @@ class SweepSupervisor:
                 overdue.add(future)
         if not overdue:
             return executor
-        self._kill_executor(executor)
+        _kill_executor(executor)
         for future, (chunk, _submitted) in list(futures.items()):
             if future in overdue:
                 self._recover_chunk(

@@ -737,6 +737,8 @@ class TestOverloadControl:
         release = threading.Event()
 
         def blocking(document):
+            if document["id"] == "interactive":
+                return service_worker(document)
             gate.set()
             release.wait(timeout=30)
             return service_worker(document)
@@ -768,8 +770,18 @@ class TestOverloadControl:
             assert body["retry_after"] > 0
             assert service.stats.shed_overload == 1
             assert service.perf.shed_requests == 1
-            # Interactive requests are still admitted at this load.
-            status, body = service.handle(request_document(envelope))
+            # Interactive requests are still admitted at this load.  This
+            # one analyses another task set, so it neither coalesces onto
+            # the blocked requests nor blocks in the stub.
+            platform = default_platform()
+            other = json.loads(
+                taskset_to_json(
+                    generate_taskset(random.Random(6), platform, 0.3), platform
+                )
+            )
+            status, body = service.handle(
+                request_document(other, id="interactive")
+            )
             assert status == 200
         finally:
             release.set()

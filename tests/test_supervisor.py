@@ -7,6 +7,7 @@ seed; injected hang -> pool kill + retry recovers bit-identically;
 injected transient exception -> per-sample retry with backoff.
 """
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -17,12 +18,21 @@ from repro.experiments.config import (
     default_platform,
     standard_variants,
 )
+from repro.experiments.fig3 import run_fig3c
 from repro.experiments.runner import (
     _sample_seed,
+    evaluate_item,
     run_curve,
     schedulability_ratios,
 )
-from repro.experiments.supervisor import SampleFailure, WorkItem, chunked
+from repro.experiments.stateplane import reset_resident_plane
+from repro.experiments.supervisor import (
+    SampleFailure,
+    SweepSupervisor,
+    WorkItem,
+    chunked,
+    run_resident_chunk,
+)
 from repro.verify.faults import (
     SweepFault,
     TransientWorkerFault,
@@ -158,6 +168,97 @@ class TestResidentWorkers:
         assert not stolen.failures
         for utilization in SETTINGS.utilizations:
             assert stolen[utilization] == clean[utilization]
+
+
+#: A three-curve Fig. 3c sweep (three cache sizes) at bench-test scale.
+FIG3C_SETS = (32, 64, 128)
+FIG3C_SETTINGS = replace(SETTINGS, samples=3, utilizations=(0.3, 0.6))
+
+
+def _count_pools(monkeypatch):
+    """Record every executor ``SweepSupervisor._new_executor`` spawns."""
+    created = []
+    original = SweepSupervisor._new_executor
+
+    def counting(self):
+        executor = original(self)
+        created.append(executor)
+        return executor
+
+    monkeypatch.setattr(SweepSupervisor, "_new_executor", counting)
+    return created
+
+
+class TestSharedPool:
+    """One spawn pool serves every curve of a multi-curve sweep."""
+
+    def test_three_curves_spawn_one_pool(self, monkeypatch):
+        created = _count_pools(monkeypatch)
+        parallel = run_fig3c(FIG3C_SETTINGS, cache_sets=FIG3C_SETS)
+        assert len(created) == 1
+        assert multiprocessing.active_children() == []
+        inline = run_fig3c(replace(FIG3C_SETTINGS, jobs=1), cache_sets=FIG3C_SETS)
+        assert len(created) == 1  # the inline path never spawns
+        assert parallel.failures == []
+        assert parallel.measures == inline.measures
+
+    def test_new_sweep_id_starts_on_an_empty_plane(self, monkeypatch):
+        # This process stands in for a pool worker: the chunk entry point
+        # keeps the plane within one sweep and drops it for the next one.
+        from repro.experiments import supervisor as supervisor_mod
+
+        monkeypatch.setattr(supervisor_mod, "_WORKER_SWEEP", None)
+        reset_resident_plane()
+        chunk = tuple(
+            (WorkItem(0, i, 0.4, _sample_seed(SETTINGS.seed, 0, i)), 0)
+            for i in range(3)
+        )
+        shared = (
+            evaluate_item, default_platform(), VARIANTS,
+            SETTINGS.generation, None, None,
+        )
+        try:
+            _, first = run_resident_chunk((1, *shared, chunk))
+            _, again = run_resident_chunk((1, *shared, chunk))
+            _, fresh = run_resident_chunk((2, *shared, chunk))
+        finally:
+            reset_resident_plane()
+        assert (first.resident_table_hits, first.resident_table_misses) == (0, 3)
+        assert (again.resident_table_hits, again.resident_table_misses) == (3, 0)
+        assert (fresh.resident_table_hits, fresh.resident_table_misses) == (0, 3)
+
+    def test_crash_in_every_curve_hands_the_respawned_pool_on(
+        self, monkeypatch
+    ):
+        created = _count_pools(monkeypatch)
+        borrowed = []
+        original = SweepSupervisor._run_supervised
+
+        def recording(self, items, pool):
+            # The executor this curve borrows, and the newest one spawned.
+            borrowed.append((pool.executor, created[-1] if created else None))
+            return original(self, items, pool)
+
+        monkeypatch.setattr(SweepSupervisor, "_run_supervised", recording)
+        crashed = run_fig3c(
+            FIG3C_SETTINGS,
+            cache_sets=FIG3C_SETS,
+            fault=SweepFault("crash-sample", point=1, sample=2),
+        )
+        assert [(f.point, f.sample) for f in crashed.failures] == [(1, 2)] * 3
+        assert [f.seed for f in crashed.failures] == [
+            _sample_seed(FIG3C_SETTINGS.seed, 1000 * (index + 1) + 1, 2)
+            for index in range(len(FIG3C_SETS))
+        ]
+        assert {f.kind for f in crashed.failures} == {"crash"}
+        assert crashed.healthy == crashed.expected - 3
+        # Every curve respawned after its crash, and each later curve
+        # started on the pool the previous curve respawned.
+        assert len(created) > len(FIG3C_SETS)
+        assert borrowed[0] == (None, None)
+        for executor, newest in borrowed[1:]:
+            assert executor is not None and executor is newest
+        assert multiprocessing.active_children() == []
 
 
 class TestCrashRecovery:
